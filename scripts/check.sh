@@ -48,11 +48,11 @@ kill_resume_smoke() {
   ref_agg="$(timeout "$STAGE_TIMEOUT" "$dir/examples/farm_campaign" \
     --tasks 200 --seed 77 --poison 13 | grep '^AGG ')"
 
-  # Checkpointing run (slowed trials, few threads, frequent
-  # checkpoints), SIGKILLed as soon as the first checkpoint exists —
-  # i.e. genuinely mid-campaign.
+  # Checkpointing run (slowed trials, one worker per core, frequent
+  # checkpoints — so workers publish concurrently), SIGKILLed as soon as
+  # the first checkpoint exists — i.e. genuinely mid-campaign.
   timeout "$STAGE_TIMEOUT" "$dir/examples/farm_campaign" \
-    --tasks 200 --seed 77 --poison 13 --trial-us 5000 --threads 2 \
+    --tasks 200 --seed 77 --poison 13 --trial-us 5000 --threads "$JOBS" \
     --checkpoint "$ck" --every 8 &
   local pid=$!
   for _ in $(seq 1 200); do
@@ -103,8 +103,8 @@ configure_build_test tsan "-L farm|fleet" -DRSP_SANITIZE=tsan
 
 # Scalar-fallback SIMD: non-x86 builds must never break silently, and
 # the batched-replay and PHY-substrate batteries must stay bit-identical
-# without lanes.
-configure_build_test simd-off "-L simd|phy" -DRSP_SIMD=off
+# without lanes; the known answers (kat) must hold on the scalar build.
+configure_build_test simd-off "-L simd|phy|kat" -DRSP_SIMD=off
 
 # Vectorized-PHY-substrate battery: block transmit/channel paths
 # bit-identical to the scalar references, Doppler phase vs long-double
@@ -152,6 +152,15 @@ echo "==== [workload] ctest -L workload ===="
 echo "==== [workload-asan] ctest -L workload (ASan+UBSan) ===="
 (cd "$ROOT/build-check-asan" && timeout "$STAGE_TIMEOUT" \
   ctest --output-on-failure -j "$JOBS" -L workload)
+
+# Concurrency repeat: the multi-threaded batteries (farm, incl. the
+# concurrent-checkpoint and first-use demap tests; fleet; snapshot) run
+# until the first failure, 20 times, so a race shows as a red stage
+# rather than as a rare flake.
+echo "==== [repeat] ctest -L farm|fleet|snapshot --repeat until-fail:20 ===="
+(cd "$ROOT/build-check-tier1" && timeout "$STAGE_TIMEOUT" \
+  ctest --output-on-failure -j "$JOBS" -L "farm|fleet|snapshot" \
+  --repeat until-fail:20)
 
 # Crash-resilience end to end: kill a real campaign, resume it.
 kill_resume_smoke

@@ -260,9 +260,34 @@ ResilientResult run_resilient(std::size_t n_tasks, std::uint64_t base_seed,
   };
 
   detail::BoundedQueue queue(opts.farm.queue_capacity);
+
+  // Mid-run checkpoints are published one at a time, and only when they
+  // cover more completed tasks than the last one published: a worker
+  // whose capture is overtaken by a newer one drops it instead of
+  // renaming an older file over a newer one.  A failed write stops the
+  // campaign (no further task starts) and is rethrown after the join,
+  // so an I/O error never escapes a worker thread.
+  std::mutex publish_mutex;
+  std::size_t published = 0;
+  std::exception_ptr publish_error;
+  std::atomic<bool> stop{false};
+  auto publish = [&](const CampaignCheckpoint& ck, std::size_t done) {
+    std::lock_guard<std::mutex> lock(publish_mutex);
+    if (publish_error || done <= published) return;
+    try {
+      save_campaign_checkpoint(opts.checkpoint_path, ck);
+      published = done;
+    } catch (...) {
+      publish_error = std::current_exception();
+      stop.store(true);
+      queue.close();
+    }
+  };
+
   auto worker = [&] {
     std::size_t index = 0;
     while (queue.pop(index)) {
+      if (stop.load()) continue;  // drain: the campaign is failing
       const std::uint64_t seed = Rng::split(base_seed, index);
       TaskOutcome oc;
       TrialResult tr;
@@ -285,25 +310,23 @@ ResilientResult run_resilient(std::size_t n_tasks, std::uint64_t base_seed,
       }
 
       bool take_checkpoint = false;
+      std::size_t done = 0;
       CampaignCheckpoint ck;
       {
         std::lock_guard<std::mutex> lock(state_mutex);
         out.outcomes[index] = oc;
         out.result.per_task[index] = tr;
         out.retries += oc.attempts - 1;
-        const std::size_t done = completed_count.fetch_add(1) + 1;
+        done = completed_count.fetch_add(1) + 1;
         if (!opts.checkpoint_path.empty() && opts.checkpoint_every > 0 &&
             done % opts.checkpoint_every == 0 && done < n_tasks) {
           ck = capture_checkpoint();
           take_checkpoint = true;
         }
       }
-      // File I/O outside the state lock; write_file_atomic renames, so
-      // overlapping writers each publish a complete checkpoint and the
-      // last rename wins.
-      if (take_checkpoint) {
-        save_campaign_checkpoint(opts.checkpoint_path, ck);
-      }
+      // File I/O outside the state lock, so trials keep completing
+      // while a checkpoint is written; publish() orders the writers.
+      if (take_checkpoint) publish(ck, done);
     }
   };
 
@@ -325,6 +348,7 @@ ResilientResult run_resilient(std::size_t n_tasks, std::uint64_t base_seed,
   }
   queue.close();
   for (auto& t : pool) t.join();
+  if (publish_error) std::rethrow_exception(publish_error);
   if (undispatched) {
     throw FarmError(
         "farm: resilient campaign task was never dispatched (queue closed "

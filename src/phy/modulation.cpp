@@ -56,16 +56,20 @@ const char* modulation_name(Modulation m) {
 }
 
 const std::vector<CplxF>& constellation(Modulation m) {
-  static std::array<std::vector<CplxF>, 4> cache;
-  auto& c = cache[static_cast<std::size_t>(m)];
-  if (c.empty()) {
-    const int n = 1 << bits_per_symbol(m);
-    c.reserve(static_cast<std::size_t>(n));
-    for (int w = 0; w < n; ++w) {
-      c.push_back(map_word(static_cast<unsigned>(w), m));
+  // All four tables are built by one static initializer, which C++
+  // runs exactly once even when several threads demap at first use.
+  static const std::array<std::vector<CplxF>, 4> tables = [] {
+    std::array<std::vector<CplxF>, 4> t;
+    for (const Modulation s : {Modulation::kBpsk, Modulation::kQpsk,
+                               Modulation::kQam16, Modulation::kQam64}) {
+      auto& c = t[static_cast<std::size_t>(s)];
+      for (unsigned w = 0; w < (1u << bits_per_symbol(s)); ++w) {
+        c.push_back(map_word(w, s));
+      }
     }
-  }
-  return c;
+    return t;
+  }();
+  return tables[static_cast<std::size_t>(m)];
 }
 
 std::vector<CplxF> modulate(const std::vector<std::uint8_t>& bits,

@@ -1,13 +1,8 @@
 #include "src/xpp/alu.hpp"
 
-#include "src/common/cplx.hpp"
-#include "src/common/word.hpp"
+#include "src/xpp/alu_ops.hpp"
 
 namespace rsp::xpp {
-
-Word AluObject::clamp(long long v) const {
-  return p_.saturate ? saturate(v, kWordBits) : wrap24(v);
-}
 
 bool AluObject::do_fire() {
   const Opcode op = p_.op;
@@ -49,38 +44,19 @@ bool AluObject::do_fire() {
       in_consume(1);
       return true;
     }
-    case Opcode::kAccum: {
-      if (!in_ready(0) || !in_ready(1)) return false;
-      const bool dump = in_peek(1) != 0;
-      if (dump && !out_ready(0)) return false;
-      acc_ = p_.saturate
-                 ? saturate(static_cast<long long>(acc_) + in_peek(0), kWordBits)
-                 : wrap24(static_cast<long long>(acc_) + in_peek(0));
-      if (dump) {
-        out_write(0, clamp(shr_round(acc_, p_.shift)));
-        acc_ = 0;
-      }
-      in_consume(0);
-      in_consume(1);
-      return true;
-    }
+    case Opcode::kAccum:
     case Opcode::kCAccum: {
       if (!in_ready(0) || !in_ready(1)) return false;
       const bool dump = in_peek(1) != 0;
       if (dump && !out_ready(0)) return false;
-      const CplxI z = unpack_cplx(in_peek(0));
-      cacc_re_ += z.re;
-      cacc_im_ += z.im;
-      if (dump) {
-        const Word re = saturate(shr_round(static_cast<std::int32_t>(
-                                     saturate(cacc_re_, 31)), p_.shift),
-                                 kHalfBits);
-        const Word im = saturate(shr_round(static_cast<std::int32_t>(
-                                     saturate(cacc_im_, 31)), p_.shift),
-                                 kHalfBits);
-        out_write(0, pack_iq(re, im));
-        cacc_re_ = 0;
-        cacc_im_ = 0;
+      if (op == Opcode::kAccum) {
+        acc_ = alu::accum_add(acc_, in_peek(0), p_.saturate);
+        if (dump) out_write(0, alu::accum_dump(acc_, p_.shift, p_.saturate));
+        if (dump) acc_ = 0;
+      } else {
+        alu::caccum_add(cacc_re_, cacc_im_, in_peek(0));
+        if (dump) out_write(0, alu::caccum_dump(cacc_re_, cacc_im_, p_.shift));
+        if (dump) cacc_re_ = cacc_im_ = 0;
       }
       in_consume(0);
       in_consume(1);
@@ -107,78 +83,14 @@ bool AluObject::do_fire() {
   const Word b = ((info.in_mask >> 1) & 1u) ? in_peek(1) : 0;
   const Word c = ((info.in_mask >> 2) & 1u) ? in_peek(2) : 0;
 
-  Word r0 = 0;
-  Word r1 = 0;
-  switch (op) {
-    case Opcode::kNop:      r0 = a; break;
-    case Opcode::kAdd:      r0 = clamp(static_cast<long long>(a) + b); break;
-    case Opcode::kSub:      r0 = clamp(static_cast<long long>(a) - b); break;
-    case Opcode::kMul:      r0 = clamp(static_cast<long long>(a) * b); break;
-    case Opcode::kMulShr:
-      r0 = clamp(shr_round(static_cast<std::int32_t>(
-                     saturate(static_cast<long long>(a) * b, 31)),
-                 p_.shift));
-      break;
-    case Opcode::kNeg:      r0 = clamp(-static_cast<long long>(a)); break;
-    case Opcode::kAbs:      r0 = clamp(a < 0 ? -static_cast<long long>(a) : a); break;
-    case Opcode::kMin:      r0 = a < b ? a : b; break;
-    case Opcode::kMax:      r0 = a > b ? a : b; break;
-    case Opcode::kAnd:      r0 = wrap24(a & b); break;
-    case Opcode::kOr:       r0 = wrap24(a | b); break;
-    case Opcode::kXor:      r0 = wrap24(a ^ b); break;
-    case Opcode::kNot:      r0 = wrap24(~a); break;
-    case Opcode::kShl:      r0 = clamp(static_cast<long long>(a) << p_.shift); break;
-    case Opcode::kShr:      r0 = a >> p_.shift; break;
-    case Opcode::kShrRound: r0 = shr_round(a, p_.shift); break;
-    case Opcode::kEq:       r0 = a == b; break;
-    case Opcode::kNe:       r0 = a != b; break;
-    case Opcode::kLt:       r0 = a < b; break;
-    case Opcode::kLe:       r0 = a <= b; break;
-    case Opcode::kGt:       r0 = a > b; break;
-    case Opcode::kGe:       r0 = a >= b; break;
-    case Opcode::kMux:      r0 = (a != 0) ? c : b; break;
-    case Opcode::kSwap:
-      if (a != 0) { r0 = c; r1 = b; } else { r0 = b; r1 = c; }
-      break;
-    case Opcode::kDup:      r0 = a; r1 = a; break;
-    case Opcode::kPack:     r0 = pack_iq(a, b); break;
-    case Opcode::kUnpack:   r0 = unpack_i(a); r1 = unpack_q(a); break;
-    case Opcode::kSel4:     r0 = p_.table[static_cast<unsigned>(a) & 3u]; break;
-    case Opcode::kCAdd: {
-      const CplxI z = sat_cplx(unpack_cplx(a) + unpack_cplx(b), kHalfBits);
-      r0 = pack_cplx(z);
-      break;
-    }
-    case Opcode::kCSub: {
-      const CplxI z = sat_cplx(unpack_cplx(a) - unpack_cplx(b), kHalfBits);
-      r0 = pack_cplx(z);
-      break;
-    }
-    case Opcode::kCMulShr: {
-      const CplxI z = unpack_cplx(a) * unpack_cplx(b);
-      r0 = pack_cplx(sat_cplx(shr_round(z, p_.shift), kHalfBits));
-      break;
-    }
-    case Opcode::kCConj:    r0 = pack_cplx(unpack_cplx(a).conj()); break;
-    case Opcode::kCRotMj: {
-      const CplxI z = unpack_cplx(a);
-      r0 = pack_cplx(sat_cplx({z.im, -z.re}, kHalfBits));
-      break;
-    }
-    case Opcode::kCNeg: {
-      const CplxI z = unpack_cplx(a);
-      r0 = pack_cplx(sat_cplx({-z.re, -z.im}, kHalfBits));
-      break;
-    }
-    default:
-      return false;  // handled in the bespoke switch above
-  }
+  const alu::Result r =
+      alu::eval(op, a, b, c, {p_.saturate, p_.shift, p_.table.data()});
 
   for (int i = 0; i < kMaxIn; ++i) {
     if ((info.in_mask >> i) & 1u) in_consume(i);
   }
-  if ((info.out_mask >> 0) & 1u) out_write(0, r0);
-  if ((info.out_mask >> 1) & 1u) out_write(1, r1);
+  if ((info.out_mask >> 0) & 1u) out_write(0, r.r0);
+  if ((info.out_mask >> 1) & 1u) out_write(1, r.r1);
   return true;
 }
 

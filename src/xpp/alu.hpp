@@ -32,9 +32,9 @@ class AluObject final : public Object {
   bool do_fire() override;
 
  private:
-  /// The compiled replayer mirrors the stateful opcodes (kAccum,
-  /// kCAccum, kMergeAlt) against these registers directly, with the
-  /// identical arithmetic, so armed epochs stay bit-exact.
+  /// The compiled replayer steps the stateful opcodes (kAccum,
+  /// kCAccum, kMergeAlt) on these registers directly, through the same
+  /// alu_ops.hpp functions, so armed epochs stay bit-exact.
   friend class CompiledProgram;
   friend class BatchedReplayEngine;
   friend class CanonicalProgram;
@@ -45,8 +45,6 @@ class AluObject final : public Object {
   long long cacc_re_ = 0;       // kCAccum
   long long cacc_im_ = 0;
   bool merge_toggle_ = false;   // kMergeAlt
-
-  [[nodiscard]] Word clamp(long long v) const;
 
   AluParams p_;
 };

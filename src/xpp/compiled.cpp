@@ -12,19 +12,18 @@
 // object could not have fired (conservatively: an unknown data
 // decision counts as "could fire" and refuses the compile), and
 // requiring the end state to equal the entry state (closure).  Values
-// then flow through the lowered op list with the identical arithmetic
-// (src/common/word.hpp, src/common/cplx.hpp), so replayed epochs are
-// bit-identical to interpretation.
+// then flow through the lowered op list with the interpreter's own
+// arithmetic (src/xpp/alu_ops.hpp), so replayed epochs are bit-identical
+// to interpretation.
 #include "src/xpp/compiled.hpp"
 
 #include <algorithm>
 #include <unordered_set>
 #include <utility>
 
-#include "src/common/cplx.hpp"
 #include "src/common/fnv.hpp"
-#include "src/common/word.hpp"
 #include "src/xpp/alu.hpp"
+#include "src/xpp/alu_ops.hpp"
 #include "src/xpp/counter.hpp"
 #include "src/xpp/fault.hpp"
 #include "src/xpp/io.hpp"
@@ -1017,85 +1016,12 @@ int CompiledProgram::exec_phase(Simulator& sim) {
         const Word a = op.a >= 0 ? val[op.a] : 0;
         const Word b = op.b >= 0 ? val[op.b] : 0;
         const Word c = op.c >= 0 ? val[op.c] : 0;
-        const bool sat = (op.flags & kFlagSaturate) != 0;
-        const auto clamp = [sat](long long v) {
-          return sat ? saturate(v, kWordBits) : wrap24(v);
-        };
-        const int shift = op.shift;
-        Word r0 = 0;
-        Word r1 = 0;
-        switch (op.op) {
-          case Opcode::kNop:  r0 = a; break;
-          case Opcode::kAdd:  r0 = clamp(static_cast<long long>(a) + b); break;
-          case Opcode::kSub:  r0 = clamp(static_cast<long long>(a) - b); break;
-          case Opcode::kMul:  r0 = clamp(static_cast<long long>(a) * b); break;
-          case Opcode::kMulShr:
-            r0 = clamp(shr_round(static_cast<std::int32_t>(
-                           saturate(static_cast<long long>(a) * b, 31)),
-                       shift));
-            break;
-          case Opcode::kNeg:  r0 = clamp(-static_cast<long long>(a)); break;
-          case Opcode::kAbs:
-            r0 = clamp(a < 0 ? -static_cast<long long>(a) : a);
-            break;
-          case Opcode::kMin:  r0 = a < b ? a : b; break;
-          case Opcode::kMax:  r0 = a > b ? a : b; break;
-          case Opcode::kAnd:  r0 = wrap24(a & b); break;
-          case Opcode::kOr:   r0 = wrap24(a | b); break;
-          case Opcode::kXor:  r0 = wrap24(a ^ b); break;
-          case Opcode::kNot:  r0 = wrap24(~a); break;
-          case Opcode::kShl:
-            r0 = clamp(static_cast<long long>(a) << shift);
-            break;
-          case Opcode::kShr:      r0 = a >> shift; break;
-          case Opcode::kShrRound: r0 = shr_round(a, shift); break;
-          case Opcode::kEq:       r0 = a == b; break;
-          case Opcode::kNe:       r0 = a != b; break;
-          case Opcode::kLt:       r0 = a < b; break;
-          case Opcode::kLe:       r0 = a <= b; break;
-          case Opcode::kGt:       r0 = a > b; break;
-          case Opcode::kGe:       r0 = a >= b; break;
-          case Opcode::kMux:      r0 = (a != 0) ? c : b; break;
-          case Opcode::kSwap:
-            if (a != 0) { r0 = c; r1 = b; } else { r0 = b; r1 = c; }
-            break;
-          case Opcode::kDup:      r0 = a; r1 = a; break;
-          case Opcode::kPack:     r0 = pack_iq(a, b); break;
-          case Opcode::kUnpack:   r0 = unpack_i(a); r1 = unpack_q(a); break;
-          case Opcode::kSel4:
-            r0 = static_cast<AluObject*>(op.obj)
-                     ->p_.table[static_cast<unsigned>(a) & 3u];
-            break;
-          case Opcode::kCAdd:
-            r0 = pack_cplx(
-                sat_cplx(unpack_cplx(a) + unpack_cplx(b), kHalfBits));
-            break;
-          case Opcode::kCSub:
-            r0 = pack_cplx(
-                sat_cplx(unpack_cplx(a) - unpack_cplx(b), kHalfBits));
-            break;
-          case Opcode::kCMulShr: {
-            const CplxI z = unpack_cplx(a) * unpack_cplx(b);
-            r0 = pack_cplx(sat_cplx(shr_round(z, shift), kHalfBits));
-            break;
-          }
-          case Opcode::kCConj:
-            r0 = pack_cplx(unpack_cplx(a).conj());
-            break;
-          case Opcode::kCRotMj: {
-            const CplxI z = unpack_cplx(a);
-            r0 = pack_cplx(sat_cplx({z.im, -z.re}, kHalfBits));
-            break;
-          }
-          case Opcode::kCNeg: {
-            const CplxI z = unpack_cplx(a);
-            r0 = pack_cplx(sat_cplx({-z.re, -z.im}, kHalfBits));
-            break;
-          }
-          default: break;  // steering ops never lower to CKind::kAlu
-        }
-        if (op.o0 >= 0) stg[op.o0] = r0;
-        if (op.o1 >= 0) stg[op.o1] = r1;
+        const alu::Result r = alu::eval(
+            op.op, a, b, c,
+            {(op.flags & kFlagSaturate) != 0, op.shift,
+             static_cast<AluObject*>(op.obj)->p_.table.data()});
+        if (op.o0 >= 0) stg[op.o0] = r.r0;
+        if (op.o1 >= 0) stg[op.o1] = r.r1;
         break;
       }
       case CKind::kCopy:
@@ -1111,35 +1037,19 @@ int CompiledProgram::exec_phase(Simulator& sim) {
       }
       case CKind::kAccum: {
         auto* al = static_cast<AluObject*>(op.obj);
-        const Word in0 = val[op.a];
         const bool sat = (op.flags & kFlagSaturate) != 0;
-        al->acc_ = sat ? saturate(static_cast<long long>(al->acc_) + in0,
-                                  kWordBits)
-                       : wrap24(static_cast<long long>(al->acc_) + in0);
+        al->acc_ = alu::accum_add(al->acc_, val[op.a], sat);
         if ((op.flags & kFlagDump) != 0) {
-          const Word r = sat ? saturate(shr_round(al->acc_, op.shift),
-                                        kWordBits)
-                             : wrap24(shr_round(al->acc_, op.shift));
-          stg[op.o0] = r;
+          stg[op.o0] = alu::accum_dump(al->acc_, op.shift, sat);
           al->acc_ = 0;
         }
         break;
       }
       case CKind::kCAccum: {
         auto* al = static_cast<AluObject*>(op.obj);
-        const CplxI z = unpack_cplx(val[op.a]);
-        al->cacc_re_ += z.re;
-        al->cacc_im_ += z.im;
+        alu::caccum_add(al->cacc_re_, al->cacc_im_, val[op.a]);
         if ((op.flags & kFlagDump) != 0) {
-          const Word re = saturate(
-              shr_round(static_cast<std::int32_t>(saturate(al->cacc_re_, 31)),
-                        op.shift),
-              kHalfBits);
-          const Word im = saturate(
-              shr_round(static_cast<std::int32_t>(saturate(al->cacc_im_, 31)),
-                        op.shift),
-              kHalfBits);
-          stg[op.o0] = pack_iq(re, im);
+          stg[op.o0] = alu::caccum_dump(al->cacc_re_, al->cacc_im_, op.shift);
           al->cacc_re_ = 0;
           al->cacc_im_ = 0;
         }
@@ -1147,17 +1057,10 @@ int CompiledProgram::exec_phase(Simulator& sim) {
       }
       case CKind::kCounter: {
         auto* cn = static_cast<CounterObject*>(op.obj);
-        const bool wraps = cn->p_.modulo > 0 && cn->remaining_ == 1;
         stg[op.o0] = cn->value_;
-        stg[op.o1] = wraps ? 1 : 0;
-        if (wraps) {
-          cn->value_ = cn->p_.start;
-          cn->remaining_ = cn->p_.modulo;
-        } else {
-          cn->value_ =
-              wrap24(static_cast<long long>(cn->value_) + cn->p_.step);
-          if (cn->p_.modulo > 0) --cn->remaining_;
-        }
+        stg[op.o1] = alu::counter_step(cn->value_, cn->remaining_,
+                                       cn->p_.start, cn->p_.step,
+                                       cn->p_.modulo);
         break;
       }
       case CKind::kRam: {

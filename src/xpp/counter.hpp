@@ -5,7 +5,7 @@
 // control the multiplexer stages", Section 3.2).
 #pragma once
 
-#include "src/common/word.hpp"
+#include "src/xpp/alu_ops.hpp"
 #include "src/xpp/object.hpp"
 
 namespace rsp::xpp {
@@ -34,17 +34,10 @@ class CounterObject final : public Object {
     const bool gated = in_bound(0);
     if (gated && !in_ready(0)) return false;
     if (!out_ready(0) || !out_ready(1)) return false;
-    const bool wraps = p_.modulo > 0 && remaining_ == 1;
     out_write(0, value_);
-    out_write(1, wraps ? 1 : 0);
+    out_write(1, alu::counter_step(value_, remaining_, p_.start, p_.step,
+                                   p_.modulo));
     if (gated) in_consume(0);
-    if (wraps) {
-      value_ = p_.start;
-      remaining_ = p_.modulo;
-    } else {
-      value_ = wrap24(static_cast<long long>(value_) + p_.step);
-      if (p_.modulo > 0) --remaining_;
-    }
     return true;
   }
 

@@ -12,8 +12,7 @@
 #include <cstdlib>
 #include <cstring>
 
-#include "src/common/cplx.hpp"
-#include "src/common/word.hpp"
+#include "src/xpp/alu_ops.hpp"
 
 namespace rsp::xpp::simd {
 

@@ -7,10 +7,9 @@
 // vector-friendly op kinds (generic ALU, counter, accumulators, guard
 // mask evaluation), selected once at startup.
 //
-// Dispatch strategy: the kernels are written as plain lane loops over
-// the exact 24-bit helpers in src/common/word.hpp / cplx.hpp — the
-// same constexpr arithmetic the scalar interpreter and the compiled
-// scalar replay use — so bit-identity holds by construction on every
+// Dispatch strategy: the kernels are plain lane loops around the
+// ALU-PAE definition in src/xpp/alu_ops.hpp, the one the interpreter and
+// compiled replay call, so bit-identity holds by construction on every
 // backend.  The loops live in simd_lanes.inc and are compiled twice:
 //
 //   simd.cpp       baseline TU, built with the project flags.  The

@@ -6,8 +6,7 @@
 // the feature is present.
 #include "src/xpp/simd.hpp"
 
-#include "src/common/cplx.hpp"
-#include "src/common/word.hpp"
+#include "src/xpp/alu_ops.hpp"
 
 namespace rsp::xpp::simd::detail {
 

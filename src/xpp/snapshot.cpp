@@ -1,6 +1,9 @@
 #include "src/xpp/snapshot.hpp"
 
+#include <unistd.h>
+
 #include <array>
+#include <atomic>
 #include <cstdio>
 #include <utility>
 
@@ -110,7 +113,11 @@ std::string_view unframe(const char magic[8], std::uint32_t version,
 }
 
 void write_file_atomic(const std::string& path, const std::string& bytes) {
-  const std::string tmp = path + ".tmp";
+  // pid + process-wide counter: concurrent writers of one path, in any
+  // process, never truncate or rename each other's staging file.
+  static std::atomic<unsigned long long> serial{0};
+  const std::string tmp = path + ".tmp." + std::to_string(::getpid()) + "." +
+                          std::to_string(serial.fetch_add(1));
   std::FILE* f = std::fopen(tmp.c_str(), "wb");
   if (f == nullptr) {
     throw SnapshotError("snapshot: cannot open '" + tmp + "' for writing");

@@ -157,9 +157,10 @@ class Reader {
                                        std::uint32_t version,
                                        std::string_view bytes);
 
-/// Atomic file emission: write to "<path>.tmp", flush, then rename over
-/// @p path — a reader (or a resume after SIGKILL) sees either the old
-/// complete file or the new complete file, never a torn write.
+/// Atomic file emission: write to a temp file of this call's own
+/// ("<path>.tmp.<pid>.<n>"), flush, then rename over @p path — a reader
+/// (or a resume after SIGKILL) sees the old or the new complete file,
+/// never a torn one.  Callers order concurrent writes to one path.
 void write_file_atomic(const std::string& path, const std::string& bytes);
 
 /// Whole-file read; throws SnapshotError when the file cannot be read.

@@ -4,9 +4,11 @@
 // aggregate.  Runs under the farm label, so it must be TSan-clean.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <chrono>
 #include <cstdio>
+#include <filesystem>
 #include <memory>
 #include <stdexcept>
 #include <thread>
@@ -208,6 +210,64 @@ TEST(Resilient, CheckpointResumeIsBitIdentical) {
   EXPECT_THROW((void)run_resilient(20, 98, kernel, resume),
                xpp::SnapshotError);
   std::remove(path.c_str());
+}
+
+TEST(Resilient, ConcurrentCheckpointPublishIsSafe) {
+  // checkpoint_every = 1 at four or more workers: every completion
+  // publishes, so several workers write the same checkpoint at once.
+  // No write may fail or kill a worker, no staging file may be left
+  // behind, and the file left at the end is the finished campaign.
+  const int threads =
+      std::max(4, static_cast<int>(std::thread::hardware_concurrency()));
+  const std::filesystem::path dir =
+      std::filesystem::path(::testing::TempDir()) / "rsp_ck_publish";
+  std::filesystem::create_directories(dir);
+  const std::string path = (dir / "campaign.ck").string();
+  const TrialKernel kernel = [](std::uint64_t seed, std::size_t) {
+    return pure_trial(seed);
+  };
+  ResilientOptions opts;
+  opts.farm.threads = threads;
+  opts.checkpoint_path = path;
+  opts.checkpoint_every = 1;
+  opts.tag = "publish";
+  for (int rep = 0; rep < 20; ++rep) {
+    const std::uint64_t seed = 500 + static_cast<std::uint64_t>(rep);
+    const ResilientResult r = run_resilient(96, seed, kernel, opts);
+    ASSERT_TRUE(r.quarantined.empty()) << "rep " << rep;
+    const CampaignCheckpoint ck = load_campaign_checkpoint(path);
+    ASSERT_EQ(ck.base_seed, seed);
+    for (const TaskOutcome& o : ck.outcomes) {
+      ASSERT_EQ(o.status, TaskStatus::kOk) << "rep " << rep;
+    }
+    EXPECT_EQ(ck.per_task, r.result.per_task) << "rep " << rep;
+  }
+  std::size_t files = 0;
+  for (const auto& e : std::filesystem::directory_iterator(dir)) {
+    EXPECT_EQ(e.path().filename().string(), "campaign.ck");
+    ++files;
+  }
+  EXPECT_EQ(files, 1u);
+  std::filesystem::remove_all(dir);
+}
+
+TEST(Resilient, CheckpointWriteErrorStopsCampaignAndThrows) {
+  // An unwritable checkpoint path fails the first mid-run publish.  The
+  // campaign must stop starting tasks and surface the I/O error to the
+  // caller as SnapshotError, never from inside a worker thread.
+  std::atomic<int> ran{0};
+  const TrialKernel kernel = [&ran](std::uint64_t seed, std::size_t) {
+    ran.fetch_add(1);
+    std::this_thread::sleep_for(std::chrono::milliseconds(2));
+    return pure_trial(seed);
+  };
+  ResilientOptions opts;
+  opts.farm.threads = 4;
+  opts.checkpoint_path =
+      ::testing::TempDir() + "rsp_no_such_dir/campaign.ck";
+  opts.checkpoint_every = 1;
+  EXPECT_THROW((void)run_resilient(64, 3, kernel, opts), xpp::SnapshotError);
+  EXPECT_LT(ran.load(), 64);
 }
 
 TEST(Resilient, SeuFaultStormDegradesGracefully) {

@@ -36,6 +36,12 @@ struct TheoryPoint {
   double esn0_db;
 };
 
+// Names each point by scheme and SNR ("BPSK_4dB"), so the test names
+// stay the same from one build to the next.
+void PrintTo(const TheoryPoint& p, std::ostream* os) {
+  *os << modulation_name(p.mod) << "_" << p.esn0_db << "dB";
+}
+
 class AwgnTheory : public ::testing::TestWithParam<TheoryPoint> {};
 
 TEST_P(AwgnTheory, BerMatchesQFunction) {

@@ -18,6 +18,12 @@ struct BoundaryCase {
   long long exact;  // infinite-precision result
 };
 
+// Names each case by its operands ("ADD_8388607_1"), so the test names
+// stay the same from one build to the next.
+void PrintTo(const BoundaryCase& c, std::ostream* os) {
+  *os << opcode_name(c.op) << "_" << c.a << "_" << c.b;
+}
+
 class AluBoundaries : public ::testing::TestWithParam<BoundaryCase> {};
 
 TEST_P(AluBoundaries, SaturatingClampsAtRails) {
